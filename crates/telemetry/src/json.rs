@@ -6,7 +6,7 @@
 //! objects, arrays, strings, f64/u64/i64 numbers, bools, null.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// A JSON value. Object keys are ordered (BTreeMap) so snapshots are
 /// deterministic and diffable.
@@ -113,24 +113,23 @@ impl Json {
         matches!(self, Json::Null)
     }
 
-    /// Compact single-line encoding.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Pretty-printed encoding with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        self.encode(Some(2))
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// The writer emits bytes and the text is checked as UTF-8 once at
+    /// the end, instead of once per number.
+    fn encode(&self, indent: Option<usize>) -> String {
+        let mut out = Vec::new();
+        self.write(&mut out, indent, 0);
+        String::from_utf8(out).expect("the JSON writer emits UTF-8")
+    }
+
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Json::U64(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -141,40 +140,40 @@ impl Json {
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
                 if items.is_empty() {
-                    out.push_str("[]");
+                    out.extend_from_slice(b"[]");
                     return;
                 }
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     newline_indent(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
                 newline_indent(out, indent, depth);
-                out.push(']');
+                out.push(b']');
             }
             Json::Object(map) => {
                 if map.is_empty() {
-                    out.push_str("{}");
+                    out.extend_from_slice(b"{}");
                     return;
                 }
-                out.push('{');
+                out.push(b'{');
                 for (i, (key, value)) in map.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     newline_indent(out, indent, depth + 1);
                     write_escaped(out, key);
-                    out.push(':');
+                    out.push(b':');
                     if indent.is_some() {
-                        out.push(' ');
+                        out.push(b' ');
                     }
                     value.write(out, indent, depth + 1);
                 }
                 newline_indent(out, indent, depth);
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -183,8 +182,10 @@ impl Json {
     /// trailing whitespace).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
+            stack: Vec::new(),
         };
         p.skip_ws();
         let value = p.value()?;
@@ -193,6 +194,13 @@ impl Json {
             return Err(JsonError::at(p.pos, "trailing characters"));
         }
         Ok(value)
+    }
+}
+
+/// Compact single-line encoding (`to_string()`, `{}`).
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.encode(None))
     }
 }
 
@@ -363,42 +371,51 @@ macro_rules! json_internal {
     };
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
-        out.push('\n');
+        out.push(b'\n');
         for _ in 0..width * depth {
-            out.push(' ');
+            out.push(b' ');
         }
     }
 }
 
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_nan() || v.is_infinite() {
-        // JSON has no NaN/Inf; null is the least-surprising encoding.
-        out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        let _ = write!(out, "{:.1}", v);
+/// Shortest round-trip text, byte-identical to std `Display`, plus `.0`
+/// on integral values so they parse back as `F64` rather than an integer.
+fn write_f64(out: &mut Vec<u8>, v: f64) {
+    if v.is_finite() {
+        if crate::ryu::write_display(out, v) {
+            out.extend_from_slice(b".0");
+        }
     } else {
-        let _ = write!(out, "{v}");
+        // JSON has no NaN/Inf; null is the least-surprising encoding.
+        out.extend_from_slice(b"null");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Quoted, escaped `s`; runs that need no escaping are copied whole.
+fn write_escaped(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.extend_from_slice(&s.as_bytes()[run..i]);
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => {
+                let _ = write!(out, "\\u{:04x}", b);
+            }
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.extend_from_slice(&s.as_bytes()[run..]);
+    out.push(b'"');
 }
 
 /// Parse error with byte offset.
@@ -426,8 +443,12 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Elements of every array still open, innermost last. Each array is
+    /// moved out at its `]` into a `Vec` of exactly its length.
+    stack: Vec<Json>,
 }
 
 impl<'a> Parser<'a> {
@@ -477,21 +498,22 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let base = self.stack.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Array(items));
+            return Ok(Json::Array(Vec::new()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.stack.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Array(items));
+                    return Ok(Json::Array(self.stack.drain(base..).collect()));
                 }
                 _ => return Err(JsonError::at(self.pos, "expected ',' or ']'")),
             }
@@ -529,52 +551,43 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(JsonError::at(self.pos, "unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let start = self.pos + 1;
-                            let hex = self
-                                .bytes
-                                .get(start..start + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| JsonError::at(self.pos, "bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::at(self.pos, "bad \\u escape"))?;
-                            // Surrogate pairs are not needed for telemetry
-                            // payloads; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(JsonError::at(self.pos, "bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slices
-                    // at char boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::at(self.pos, "invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one step;
+            // both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| JsonError::at(self.bytes.len(), "unterminated string"))?;
+            let end = self.pos + run;
+            out.push_str(&self.src[self.pos..end]);
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{0008}'),
+                Some(b'f') => out.push('\u{000c}'),
+                Some(b'u') => {
+                    let start = self.pos + 1;
+                    let hex = self
+                        .src
+                        .get(start..start + 4)
+                        .ok_or_else(|| JsonError::at(self.pos, "bad \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| JsonError::at(self.pos, "bad \\u escape"))?;
+                    // Surrogate pairs are not needed for telemetry
+                    // payloads; map lone surrogates to U+FFFD.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(JsonError::at(self.pos, "bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -604,8 +617,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::at(start, "invalid number"))?;
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::U64(v));

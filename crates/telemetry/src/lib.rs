@@ -22,6 +22,7 @@ pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod report;
+mod ryu;
 pub mod sink;
 pub mod trace;
 

@@ -54,7 +54,10 @@ const READ_ROUNDS: usize = 4;
 
 pub(crate) enum LoopCmd {
     /// One pre-encoded frame (header included) for a live connection.
-    Send { conn: ConnId, frame: Vec<u8> },
+    Send {
+        conn: ConnId,
+        frame: Vec<u8>,
+    },
     Kick(ConnId),
     Shutdown,
 }
@@ -212,8 +215,7 @@ impl EventLoop {
             }
             let now = Instant::now();
             let mut shutdown = false;
-            for i in 0..pollbuf.len() {
-                let ev = pollbuf[i];
+            for &ev in &pollbuf {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(now),
                     TOKEN_WAKE => {
@@ -315,7 +317,7 @@ impl EventLoop {
 
     fn on_timer(&mut self, token: u64, gen: u64, now: Instant) {
         enum Due {
-            AuthTimeout(SocketAddr),
+            AuthTimeout,
             Idle,
             Rearm(Instant),
         }
@@ -324,7 +326,7 @@ impl EventLoop {
             Some(conn) if conn.gen == gen => match &conn.state {
                 ConnState::Handshaking { deadline, .. } => {
                     if now >= *deadline {
-                        Due::AuthTimeout(conn.peer)
+                        Due::AuthTimeout
                     } else {
                         Due::Rearm(*deadline)
                     }
@@ -342,7 +344,7 @@ impl EventLoop {
             _ => return,
         };
         match due {
-            Due::AuthTimeout(_) => self.close_conn(
+            Due::AuthTimeout => self.close_conn(
                 slot,
                 Gone::Auth(format!(
                     "handshake stalled for {:?}",
@@ -416,20 +418,19 @@ impl EventLoop {
 
     fn set_interest(&mut self, slot: usize, want: Interest) {
         if let Some(conn) = self.conns[slot].as_mut() {
-            if conn.interest != want {
-                if self
+            if conn.interest != want
+                && self
                     .poller
                     .modify(conn.stream.as_raw_fd(), TOKEN_BASE + slot as u64, want)
                     .is_ok()
-                {
-                    conn.interest = want;
-                }
+            {
+                conn.interest = want;
             }
         }
     }
 
     fn conn_ready(&mut self, slot: usize, ev: PollEvent, now: Instant) {
-        if self.conns.get(slot).map_or(true, |c| c.is_none()) {
+        if self.conns.get(slot).is_none_or(|c| c.is_none()) {
             // Readiness for a conn already closed this turn.
             return;
         }

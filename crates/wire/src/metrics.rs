@@ -7,12 +7,13 @@
 //! time so this crate stays serialization-agnostic (the caller passes
 //! `telemetry.render_prometheus()` or anything else).
 //!
-//! The accept loop runs on one background thread in non-blocking mode,
-//! polling a stop flag, so [`MetricsServer`] can be shut down (and is
-//! on drop) without keeping the process alive.
+//! The accept loop runs on one background thread and blocks in
+//! `accept`, so a scrape is answered as soon as it connects. Shutdown
+//! (explicit or on drop) sets a stop flag and wakes the loop with a
+//! connection of its own to the bound port.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,8 +21,11 @@ use std::time::Duration;
 
 /// How long one connection may take to deliver its request head.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
-/// Accept-loop poll period while idle.
-const POLL: Duration = Duration::from_millis(25);
+/// Pause after a failed `accept` (e.g. out of file descriptors) so the
+/// loop does not spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(25);
+/// Longest the shutdown wake-up connection may take.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Longest request head we bother reading before answering anyway.
 const MAX_REQUEST: usize = 8192;
 
@@ -41,26 +45,22 @@ impl MetricsServer {
         render: impl Fn() -> String + Send + 'static,
     ) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(AtomicU64::new(0));
         let thread = {
             let stop = stop.clone();
             let served = served.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if serve_one(stream, &render).is_ok() {
-                                served.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
-                        Err(_) => std::thread::sleep(POLL),
+            std::thread::spawn(move || loop {
+                let accepted = listener.accept();
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                match accepted {
+                    Ok((stream, _)) => {
+                        let _ = serve_one(stream, &render, &served);
                     }
+                    Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
                 }
             })
         };
@@ -77,7 +77,9 @@ impl MetricsServer {
         self.local_addr
     }
 
-    /// Requests answered so far.
+    /// Requests answered so far. A request counts once its response is
+    /// rendered, before it is written, so a client that has read its
+    /// response always sees its own request counted.
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
@@ -88,9 +90,22 @@ impl MetricsServer {
     }
 
     fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::Release);
+        // Wake the blocked accept. A wildcard bind is reached on loopback.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // If the wake-up cannot connect, the thread is left to exit on
+        // the next connection rather than blocking the caller forever.
+        if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
+            let _ = thread.join();
         }
     }
 }
@@ -104,13 +119,16 @@ impl Drop for MetricsServer {
 /// Answer one connection: read the request head (tolerantly — a bare
 /// scrape with no headers still works), write one 200 with the current
 /// render, close.
-fn serve_one(mut stream: TcpStream, render: &impl Fn() -> String) -> std::io::Result<()> {
+fn serve_one(
+    mut stream: TcpStream,
+    render: &impl Fn() -> String,
+    served: &AtomicU64,
+) -> std::io::Result<()> {
     // Scrape responses are one small write; don't let Nagle hold the
     // tail segment back from a latency-sensitive poller.
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
     stream.set_write_timeout(Some(REQUEST_TIMEOUT))?;
-    stream.set_nonblocking(false)?;
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     loop {
@@ -135,6 +153,7 @@ fn serve_one(mut stream: TcpStream, render: &impl Fn() -> String) -> std::io::Re
         body.len(),
         body
     );
+    served.fetch_add(1, Ordering::Relaxed);
     stream.write_all(response.as_bytes())?;
     stream.flush()
 }
@@ -184,8 +203,24 @@ mod tests {
     }
 
     #[test]
+    fn wildcard_bind_drops_promptly() {
+        let server = MetricsServer::bind("0.0.0.0:0", || "up 1\n".to_string()).unwrap();
+        let port = server.local_addr().port();
+        let reply = scrape(SocketAddr::from(([127, 0, 0, 1], port)));
+        assert!(reply.ends_with("up 1\n"), "{reply}");
+        // Drop wakes the blocked accept through loopback and joins.
+        let start = std::time::Instant::now();
+        drop(server);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
     fn shutdown_stops_accepting() {
-        let server = MetricsServer::bind("127.0.0.1:0", || String::new()).unwrap();
+        let server = MetricsServer::bind("127.0.0.1:0", String::new).unwrap();
         let addr = server.local_addr();
         server.shutdown();
         // The listener socket is gone; a fresh connect must fail (or be
@@ -195,7 +230,8 @@ mod tests {
             Ok(mut s) => {
                 let _ = s.write_all(b"GET / HTTP/1.0\r\n\r\n");
                 let mut out = String::new();
-                s.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
+                s.set_read_timeout(Some(Duration::from_millis(500)))
+                    .unwrap();
                 assert!(
                     s.read_to_string(&mut out).is_err() || out.is_empty(),
                     "unexpected reply after shutdown: {out}"
